@@ -35,12 +35,12 @@ struct ImbalanceHistogram
 
 /**
  * Collect per-wave overheads for every layer of a network in one phase
- * under one mapping/balancing configuration. Waves whose workload is
- * uniform by construction report zero overhead. Tile work comes from
- * the profiles — synthetic jitter when they were built synthetically,
- * measured statistics when they came from a WorkloadTrace; the
- * mask-direct replay in arch/trace_imbalance.h skips the profile
- * abstraction entirely.
+ * under one mapping/balancing configuration (CostModel::waveStats over
+ * the wave plan). Waves whose workload is uniform by construction
+ * report zero overhead. Tile work comes from the profiles — synthetic
+ * jitter when they were built synthetically, measured statistics when
+ * they came from a WorkloadTrace; the mask-direct replay in
+ * arch/trace_imbalance.h feeds the same plan without a profile.
  */
 std::vector<double>
 collectOverheads(const NetworkModel &model,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "common/logging.h"
 
@@ -17,18 +18,33 @@ resolveThreadCount(int requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("PROCRUSTES_NUM_THREADS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return n;
-        WARN(std::string("ignoring bad PROCRUSTES_NUM_THREADS='") + env +
-             "'");
-    }
+    if (const char *env = std::getenv("PROCRUSTES_NUM_THREADS"))
+        return parseThreadCount(env);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 } // namespace
+
+int
+parseThreadCount(const char *text)
+{
+    const std::string s = text;
+    // Saturate just past the cap so long digit strings cannot overflow.
+    int64_t n = 0;
+    bool digits = !s.empty();
+    for (char ch : s) {
+        if (ch < '0' || ch > '9') {
+            digits = false;
+            break;
+        }
+        n = std::min<int64_t>(n * 10 + (ch - '0'), kMaxPoolThreads + 1);
+    }
+    if (!digits || n < 1 || n > kMaxPoolThreads)
+        FATAL("PROCRUSTES_NUM_THREADS must be an integer in [1, " +
+              std::to_string(kMaxPoolThreads) + "], got '" + s + "'");
+    return static_cast<int>(n);
+}
 
 ThreadPool::ThreadPool(int num_threads)
 {

@@ -27,6 +27,16 @@
 
 namespace procrustes {
 
+/** Largest pool PROCRUSTES_NUM_THREADS may request. */
+inline constexpr int kMaxPoolThreads = 1024;
+
+/**
+ * Parse a PROCRUSTES_NUM_THREADS value. The whole string must be a
+ * decimal integer in [1, kMaxPoolThreads]; anything else (empty, a
+ * sign, trailing characters, zero, or too large) is FATAL.
+ */
+int parseThreadCount(const char *text);
+
 /** Fixed-size pool of persistent worker threads. */
 class ThreadPool
 {
@@ -36,7 +46,8 @@ class ThreadPool
      *
      * @param num_threads total worker count including the submitting
      *        thread; 0 selects PROCRUSTES_NUM_THREADS from the
-     *        environment, else std::thread::hardware_concurrency().
+     *        environment (parseThreadCount), else
+     *        std::thread::hardware_concurrency().
      */
     explicit ThreadPool(int num_threads = 0);
 

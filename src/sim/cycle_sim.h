@@ -79,15 +79,16 @@
  *
  * Entry points: simulateWave clocks one explicit WaveSpec;
  * simulateWaveSequence chains a sequence (with drain overlap when
- * enabled); simulateLayerPhase builds waves from the analytic model's
- * synthetic sparsity profile; simulateTraceLayerPhase /
- * simulateTraceEpoch build them from a measured WorkloadTrace epoch
- * (exact epoch-final mask slice counts and measured activation
- * vectors, shared with the imbalance replay in
- * arch/trace_imbalance.h). buildEpochWavePlan / simulateEpochPlan
- * split the epoch replay into its SimConfig-independent geometry and
- * the per-config clocking, so knob sweeps over one measured epoch
- * (bench_dataflow) build the waves once.
+ * enabled). The layer-level entry points clock the waves of the wave
+ * plan (arch/wave_plan.h) — the same waves, tiles, and RF chunks the
+ * analytic model prices and the imbalance replay measures — turning
+ * each plan wave into a WaveSpec: simulateLayerPhase plans from a
+ * sparsity profile, simulateTraceLayerPhase / simulateTraceEpoch from
+ * a measured WorkloadTrace epoch. buildEpochWavePlan /
+ * simulateEpochPlan split the epoch replay into its
+ * SimConfig-independent waves and the per-config clocking, so knob
+ * sweeps over one measured epoch (bench_dataflow) build the waves
+ * once.
  */
 
 #ifndef PROCRUSTES_SIM_CYCLE_SIM_H_
@@ -283,13 +284,13 @@ SimResult simulateWaveSequence(const std::vector<WaveSpec> &waves,
                                const SimConfig &cfg);
 
 /**
- * Build the wave sequence for (layer, phase, mapping) from the same
- * sparsity profile the analytic model uses, then simulate every wave
- * (drain-overlapped when cfg.doubleBufferOutputs). Operand channels
- * follow classifyFlow(). Slots whose sparse-operand density is zero
- * (fully pruned slices/chunks) carry zero demand: they retire no
- * phantom MACs, drain no phantom psums, and are excluded from stall
- * accounting. No DRAM refill: the profile path has no measured bytes.
+ * Clock the wave plan of (layer, phase, mapping) fed by the same
+ * sparsity profile the analytic model uses (drain-overlapped when
+ * cfg.doubleBufferOutputs). Operand channels follow classifyFlow().
+ * Slots whose sparse-operand density is zero (fully pruned
+ * slices/chunks) carry zero demand: they retire no phantom MACs, drain
+ * no phantom psums, and are excluded from stall accounting. No DRAM
+ * refill: the profile path has no measured bytes.
  */
 SimResult simulateLayerPhase(const arch::LayerShape &layer,
                              arch::Phase phase, arch::MappingKind mapping,
@@ -300,15 +301,13 @@ SimResult simulateLayerPhase(const arch::LayerShape &layer,
                                  arch::BalanceMode::HalfTile);
 
 /**
- * Trace-driven variant of simulateLayerPhase: identical wave geometry
- * (tiling, channels, RF chunking, half-tile balancing), but per-tile
- * work comes from the measured epoch facts — exact epoch-final mask
- * slice counts (SparsityMask::tileNnz / blockNnz via
- * arch::measuredSliceWork / measuredPairWork) for weight-sparse
+ * Trace-driven variant of simulateLayerPhase: the same wave plan, fed
+ * by the measured epoch facts (arch::TraceWork) — exact epoch-final
+ * mask slice and kernel counts per dense position for weight-sparse
  * phases, measured per-sample / per-channel / spatial activation
  * vectors for the weight-update phase — instead of the profile's
- * density scalars. When cfg.dramWordsPerCycle > 0 the phase is also
- * charged its DRAM->GLB refill from the layer's measured bytes.
+ * densities. When cfg.dramWordsPerCycle > 0 the phase is also charged
+ * its DRAM->GLB refill from the layer's measured bytes.
  */
 SimResult simulateTraceLayerPhase(const arch::LayerTrace &layer,
                                   arch::Phase phase,
@@ -331,13 +330,13 @@ double traceRefillWords(const arch::LayerTrace &layer, arch::Phase phase,
                         int64_t batch);
 
 /**
- * SimConfig-independent wave geometry of one traced (layer, phase):
- * the exact WaveSpec sequence simulateTraceLayerPhase would clock,
- * plus the phase's DRAM refill word demand. Building this is the
- * expensive part of a trace replay (mask slice queries, balancing);
- * it depends only on the epoch's measured facts, the mapping, the
- * array geometry, and the balance mode — never on SimConfig — so
- * knob sweeps build it once and re-clock it per configuration.
+ * SimConfig-independent waves of one traced (layer, phase): the exact
+ * WaveSpec sequence simulateTraceLayerPhase would clock (its wave
+ * plan, balanced and turned into demands), plus the phase's DRAM
+ * refill word demand. It depends only on the epoch's measured facts,
+ * the mapping, the array geometry, and the balance mode — never on
+ * SimConfig — so knob sweeps build it once and re-clock it per
+ * configuration.
  */
 struct PhaseWavePlan
 {

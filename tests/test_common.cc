@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace procrustes {
 namespace {
@@ -166,6 +167,28 @@ TEST(StatelessGaussianSum3, BoundedSupport)
         const int64_t s = statelessGaussianSum3(99, i);
         EXPECT_GT(s, -bound);
         EXPECT_LT(s, bound);
+    }
+}
+
+TEST(ThreadCount, ParsesWholeDecimalInRange)
+{
+    EXPECT_EQ(parseThreadCount("1"), 1);
+    EXPECT_EQ(parseThreadCount("4"), 4);
+    EXPECT_EQ(parseThreadCount("0016"), 16);
+    EXPECT_EQ(parseThreadCount("1024"), kMaxPoolThreads);
+}
+
+TEST(ThreadCountDeathTest, RejectsMalformedOrOutOfRange)
+{
+    // Each value once built a pool of the wrong size: atoi read "4abc"
+    // as 4, "0" and "abc" fell back to a default with a warning, and
+    // "99999" started 99998 threads until thread creation threw.
+    // Parse only: no pool is built here.
+    for (const char *bad : {"", "0", "-2", "+4", "abc", "4abc", " 4", "4 ",
+                            "1025", "99999", "99999999999999999999"}) {
+        EXPECT_DEATH(parseThreadCount(bad),
+                     "PROCRUSTES_NUM_THREADS must be an integer")
+            << "'" << bad << "'";
     }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "arch/accelerator.h"
@@ -167,9 +168,12 @@ TEST(CycleSim, ChannelMapping)
 }
 
 /**
- * Cross-validation: cycle-level simulation of small layers must agree
- * with the analytic model's compute latency within 25% (the analytic
- * model ignores fill/drain and interconnect contention).
+ * Cross-validation: the simulator clocks the analytic model's own wave
+ * plan, so on every mapping x phase cell its compute cycles must land
+ * within 0.5% of the analytic compute latency (the analytic model
+ * ignores only fill and interconnect contention). The C,N/wu and
+ * C,K/wu cells once drifted by -7.6% / +5.1% when the simulator
+ * priced activation tiles with its own density rules.
  */
 struct AgreementCase
 {
@@ -210,11 +214,11 @@ TEST_P(AnalyticAgreement, CycleSimWithinBand)
         layer, ac.phase, ac.mapping, profile, 16, acfg, scfg,
         BalanceMode::HalfTile);
 
-    EXPECT_GT(static_cast<double>(sim.computeCycles),
-              0.75 * expected)
-        << ac.name;
-    EXPECT_LT(static_cast<double>(sim.computeCycles), 1.6 * expected)
-        << ac.name;
+    EXPECT_LE(std::abs(static_cast<double>(sim.computeCycles) / expected -
+                       1.0),
+              0.005)
+        << ac.name << ": simulated " << sim.computeCycles
+        << " vs analytic " << expected;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -224,7 +228,11 @@ INSTANTIATE_TEST_SUITE_P(
         AgreementCase{"kn_bw", MappingKind::KN, Phase::Backward},
         AgreementCase{"kn_wu", MappingKind::KN, Phase::WeightUpdate},
         AgreementCase{"cn_fw", MappingKind::CN, Phase::Forward},
-        AgreementCase{"ck_fw", MappingKind::CK, Phase::Forward}),
+        AgreementCase{"cn_bw", MappingKind::CN, Phase::Backward},
+        AgreementCase{"cn_wu", MappingKind::CN, Phase::WeightUpdate},
+        AgreementCase{"ck_fw", MappingKind::CK, Phase::Forward},
+        AgreementCase{"ck_bw", MappingKind::CK, Phase::Backward},
+        AgreementCase{"ck_wu", MappingKind::CK, Phase::WeightUpdate}),
     [](const ::testing::TestParamInfo<AgreementCase> &info) {
         return info.param.name;
     });

@@ -131,8 +131,8 @@ TEST(TraceImbalance, SingleHotSliceMatchesBruteForceTallyUnderKn)
 TEST(TraceImbalance, ChunkedCkMatchesBruteForcePerPeTally)
 {
     // The C,K mapping gives each PE an RF-bounded chunk of kernels
-    // along K (CostModel::weightTileChunk granularity). Rebuild the
-    // per-PE work assignment by hand from the mask and compare.
+    // along K (weightTileChunk granularity). Rebuild the per-PE work
+    // assignment by hand from the mask and compare.
     sparse::SparsityMask mask =
         sparse::makeSyntheticMask(20, 6, 3, 3, [] {
             sparse::SyntheticMaskConfig c;
